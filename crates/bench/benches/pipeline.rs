@@ -189,7 +189,7 @@ fn bench_persist_snapshot(c: &mut Criterion) {
     // JSONL vs rememberr-bin/v1 on the annotated paper-scale database —
     // the snapshot the query-serving scenarios start from. The binary
     // side pays a string-table build on save and buys back a load with
-    // no per-record text parsing; `persist_baseline` pins the ratio.
+    // no per-record text parsing; `tests/persist_binary.rs` pins the ratio.
     let db = annotated_paper_db();
     let mut group = c.benchmark_group("persist_snapshot");
     group.sample_size(20);

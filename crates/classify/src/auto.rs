@@ -29,7 +29,7 @@ pub enum Decision {
 /// Both matchers produce byte-identical classifications (annotations,
 /// snippets, decision statistics); they differ only in how much positional
 /// pattern-evaluation work they pay for. Mirrors the dedup pipeline's
-/// `CandidateGen` oracle split (`--dedup-candidates`).
+/// `CandidateGen` oracle split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MatcherKind {
     /// One indexed pass over the whole library via the shared
@@ -39,7 +39,7 @@ pub enum MatcherKind {
     #[default]
     Indexed,
     /// The original pattern-by-pattern positional scan, kept as the
-    /// correctness oracle (`--classify-matcher exhaustive`).
+    /// correctness oracle (`tests/classify_matcher.rs`).
     Exhaustive,
 }
 

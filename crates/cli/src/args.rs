@@ -33,6 +33,9 @@ pub enum ArgsError {
     /// (option, first value, second value). Silently letting the last
     /// occurrence win would hide the contradiction.
     ConflictingValues(String, String, String),
+    /// An option value outside what the option accepts (option, value,
+    /// what was expected).
+    InvalidValue(String, String, &'static str),
 }
 
 impl fmt::Display for ArgsError {
@@ -46,17 +49,29 @@ impl fmt::Display for ArgsError {
                 f,
                 "option --{k} given twice with conflicting values: {first:?} then {second:?}"
             ),
+            ArgsError::InvalidValue(k, value, expected) => {
+                write!(
+                    f,
+                    "invalid value for --{k}: {value:?} (expected {expected})"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for ArgsError {}
 
+impl From<ArgsError> for String {
+    fn from(e: ArgsError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Option names that may repeat (collected into `multi`).
 const MULTI_OPTIONS: &[&str] = &["trigger", "context", "effect"];
 
 /// Option names that are boolean flags (no value).
-const FLAG_OPTIONS: &[&str] = &["unique", "annotated", "no-humans", "help", "trace", "bench"];
+const FLAG_OPTIONS: &[&str] = &["unique", "annotated", "no-humans", "help", "trace"];
 
 /// Single-valued option names understood by at least one command.
 /// Anything else is rejected up front, so a typo fails with usage text
@@ -87,15 +102,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "metrics-out",
     "trace-out",
     "jobs",
-    "dedup-candidates",
-    "classify-matcher",
-    "bench-dedup",
-    "bench-classify",
-    "bench-pipeline",
-    "bench-query",
-    "bench-persist",
-    "bench-out",
-    "bench-serve",
     "snapshot-format",
     "addr",
     "workers",
@@ -183,6 +189,27 @@ impl ParsedArgs {
         self.flags.iter().any(|f| f == flag)
     }
 
+    /// The `--scale F` corpus scale factor, or `1.0` (paper scale) if
+    /// absent.
+    ///
+    /// # Errors
+    ///
+    /// Rejects values that are not a number in `(0, 1]`, including `0`,
+    /// negatives, `NaN` and anything above paper scale.
+    pub fn scale(&self) -> Result<f64, ArgsError> {
+        let Some(text) = self.get("scale") else {
+            return Ok(1.0);
+        };
+        match text.parse::<f64>() {
+            Ok(scale) if scale > 0.0 && scale <= 1.0 => Ok(scale),
+            _ => Err(ArgsError::InvalidValue(
+                "scale".into(),
+                text.into(),
+                "a number in (0, 1]",
+            )),
+        }
+    }
+
     /// The `--jobs N` worker count, if given.
     ///
     /// # Errors
@@ -248,36 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_candidates_option_parses() {
-        let parsed = parse([
-            "extract",
-            "--docs",
-            "d",
-            "--out",
-            "o",
-            "--dedup-candidates",
-            "exhaustive",
-        ])
-        .unwrap();
-        assert_eq!(parsed.get("dedup-candidates"), Some("exhaustive"));
-    }
-
-    #[test]
-    fn classify_matcher_option_parses() {
-        let parsed = parse([
-            "classify",
-            "--db",
-            "d",
-            "--out",
-            "o",
-            "--classify-matcher",
-            "exhaustive",
-        ])
-        .unwrap();
-        assert_eq!(parsed.get("classify-matcher"), Some("exhaustive"));
-    }
-
-    #[test]
     fn observability_flags_parse() {
         let parsed = parse([
             "extract",
@@ -298,22 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn profile_and_bench_options_parse() {
+    fn profile_options_parse() {
         let parsed = parse(["profile", "--scale", "0.25", "--jobs", "2"]).unwrap();
         assert_eq!(parsed.command, "profile");
-        assert_eq!(parsed.get_parsed("scale", 1.0).unwrap(), 0.25);
-        let parsed = parse([
-            "report",
-            "--bench",
-            "--bench-dedup",
-            "BENCH_dedup.json",
-            "--bench-classify",
-            "BENCH_classify.json",
-        ])
-        .unwrap();
-        assert!(parsed.has_flag("bench"));
-        assert_eq!(parsed.get("bench-dedup"), Some("BENCH_dedup.json"));
-        assert_eq!(parsed.get("bench-classify"), Some("BENCH_classify.json"));
+        assert_eq!(parsed.scale().unwrap(), 0.25);
     }
 
     #[test]

@@ -52,12 +52,7 @@ fn main() -> ExitCode {
     let trace = parsed.has_flag("trace");
     let metrics_out = parsed.get("metrics-out").map(str::to_string);
     let trace_out = parsed.get("trace-out").map(str::to_string);
-    let bench_out = parsed.get("bench-out").map(str::to_string);
-    for (option, path) in [
-        ("metrics-out", &metrics_out),
-        ("trace-out", &trace_out),
-        ("bench-out", &bench_out),
-    ] {
+    for (option, path) in [("metrics-out", &metrics_out), ("trace-out", &trace_out)] {
         if let Some(path) = path {
             if let Err(e) = validate_out_path(option, path) {
                 eprintln!("error: {e}");

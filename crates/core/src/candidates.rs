@@ -13,7 +13,7 @@
 //!   distinct-root pairs directly (scoring still uses the signature fast
 //!   paths).
 //! * [`CandidateGen::Exhaustive`] — the original all-pairs enumerator,
-//!   kept as the correctness oracle (`--dedup-candidates exhaustive`).
+//!   kept as the correctness oracle (`tests/dedup_candidates.rs`).
 //!
 //! Pruning is lossless (the index generates a superset of every pair that
 //! can pass) and cascade merges are order-independent under union-find, so

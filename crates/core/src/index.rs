@@ -24,9 +24,8 @@
 //!   predicates the index cannot decide (`min_triggers`).
 //!
 //! The scan stays available as the correctness oracle behind
-//! [`QueryEngine::Scan`] (`--query-engine scan` on the CLI), mirroring the
-//! `--dedup-candidates` / `--classify-matcher` precedent: the engine is a
-//! throughput knob, never a semantics knob. Results come back in exactly
+//! [`QueryEngine::Scan`] (`--query-engine scan` on the CLI): the engine is
+//! a throughput knob, never a semantics knob. Results come back in exactly
 //! the order [`crate::Query::run`] produces (entry order, or
 //! representative key order under `unique_only`).
 //!

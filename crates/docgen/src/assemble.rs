@@ -15,7 +15,7 @@ use crate::bugpool::{build_pool, BugSeed};
 use crate::rng::CorpusRng;
 use crate::sampler::{sample_profile, BugProfile};
 use crate::spec::CorpusSpec;
-use crate::text::{alternative_workaround, render_bug_text, vendor_boilerplate};
+use crate::text::{alternative_workaround, render_bug_text, vendor_boilerplate, TITLE_STYLES};
 use crate::timeline::{raw_disclosure_dates, RevisionSchedule};
 use crate::truth::{DefectLedger, FieldDefect, GroundTruth, TrueBug, TrueOccurrence};
 
@@ -260,7 +260,7 @@ fn uniquify_titles(spec: &CorpusSpec, pool: &[BugSeed], profiles: &[BugProfile])
             }
             style += 1;
             assert!(
-                style < 512,
+                style < TITLE_STYLES,
                 "cannot find a unique title for bug {} ({:?})",
                 bug.key,
                 text.title
@@ -909,7 +909,23 @@ mod title_tests {
     fn normalized_titles_are_unique_across_bugs() {
         // The Intel dedup rule "identical title => identical erratum" must
         // hold by construction on the full corpus.
-        let corpus = assemble(&CorpusSpec::paper());
+        assert_canonical_titles_unique(&assemble(&CorpusSpec::paper()));
+    }
+
+    #[test]
+    fn seeds_past_the_single_qualifier_titles_generate() {
+        // These seeds have more trigger-less bugs sharing a primary effect
+        // than single-qualifier titles, so they need qualifier pairs.
+        for seed in [3, 22, 25, 27, 39] {
+            let spec = CorpusSpec {
+                seed,
+                ..CorpusSpec::paper()
+            };
+            assert_canonical_titles_unique(&assemble(&spec));
+        }
+    }
+
+    fn assert_canonical_titles_unique(corpus: &AssembledCorpus) {
         let near_miss = corpus.truth.amd_near_miss;
         let mut seen: std::collections::HashMap<String, u32> = Default::default();
         for doc in &corpus.documents {

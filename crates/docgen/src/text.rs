@@ -486,6 +486,18 @@ const TITLE_QUALIFIERS: [&str; 16] = [
     " Within a Narrow Window",
 ];
 
+/// Styles below this append at most one title qualifier; later styles
+/// append an ordered pair of distinct qualifiers. Only corpora with more
+/// trigger-less bugs per primary effect than single-qualifier titles ever
+/// reach the pairs.
+const PAIRED_QUALIFIER_STYLE: u32 = 512;
+
+/// The number of styles title uniquification may try per bug: the
+/// single-qualifier range, then four passes over every ordered qualifier
+/// pair (each pass redraws the phrase picks).
+pub(crate) const TITLE_STYLES: u32 =
+    PAIRED_QUALIFIER_STYLE + 4 * (TITLE_QUALIFIERS.len() * (TITLE_QUALIFIERS.len() - 1)) as u32;
+
 /// Derives the deterministic per-bug RNG.
 fn bug_rng(spec: &CorpusSpec, bug: &BugSeed, style: u32) -> CorpusRng {
     let mix = spec
@@ -501,7 +513,8 @@ fn bug_rng(spec: &CorpusSpec, bug: &BugSeed, style: u32) -> CorpusRng {
 /// `variant` selects the phrasing of duplicated listings; the near-duplicate
 /// pairs render one document with `variant = 1` so titles differ slightly
 /// between documents. `style` reshuffles the phrase picks and (for
-/// `style > 0`) appends a neutral title qualifier — the assembly stage
+/// `style > 0`) appends one neutral title qualifier, or a pair of them
+/// from `PAIRED_QUALIFIER_STYLE` on — the assembly stage
 /// increments it until every unique bug has a distinct normalized title,
 /// preserving the study's observation that "identical titles imply
 /// identical errata".
@@ -533,11 +546,17 @@ pub fn render_bug_text(
     // found between documents.
     let modal = if variant == 0 { "May" } else { "Might" };
     let variant_qualifier = if variant == 0 { "" } else { " in Some Cases" };
+    let n = TITLE_QUALIFIERS.len();
     let style_qualifier = if style == 0 {
-        ""
+        String::new()
+    } else if style < PAIRED_QUALIFIER_STYLE {
+        TITLE_QUALIFIERS[(style as usize - 1 + rng.random_range(0..n)) % n].to_string()
     } else {
-        TITLE_QUALIFIERS[(style as usize - 1 + rng.random_range(0..TITLE_QUALIFIERS.len()))
-            % TITLE_QUALIFIERS.len()]
+        // Walk the n * (n - 1) ordered pairs of distinct qualifiers.
+        let k = (style - PAIRED_QUALIFIER_STYLE) as usize;
+        let first = k % n;
+        let second = (first + 1 + (k / n) % (n - 1)) % n;
+        format!("{}{}", TITLE_QUALIFIERS[first], TITLE_QUALIFIERS[second])
     };
     let title = format!(
         "{} {} {}{}{}",

@@ -2,13 +2,14 @@
 //! matchers produce byte-identical classified database JSON and identical
 //! `DecisionStats` on the full 28-document paper corpus, at every worker
 //! count — while the indexed path pays for at least 10× fewer positional
-//! pattern evaluations.
+//! pattern evaluations, and stays under the committed per-scale ceiling.
 //!
 //! This is the correctness contract of the indexed multi-pattern matcher:
 //! anchor-token pruning and single-pass snippet extraction are throughput
 //! knobs, never semantics knobs.
 
 use std::num::NonZeroUsize;
+use std::sync::Mutex;
 
 use rememberr::{save, Database, DedupStrategy};
 use rememberr_classify::{
@@ -17,6 +18,16 @@ use rememberr_classify::{
 use rememberr_docgen::{CorpusSpec, GroundTruth, SyntheticCorpus};
 use rememberr_extract::extract_corpus;
 use rememberr_model::ErrataDocument;
+
+/// Every test reads the process-global obs counters (and some set the
+/// worker count), so they serialize on this lock.
+static GLOBAL: Mutex<()> = Mutex::new(());
+
+/// Committed ceilings on the indexed matcher's `classify.pattern_evals`
+/// over the generated documents at corpus scales 0.25 / 0.5 / 1.0.
+/// Evaluations are a pure function of the seeded corpus and the rule
+/// library, so any increase is a real regression, not noise.
+const PATTERN_EVAL_CEILINGS: [(f64, u64); 3] = [(0.25, 4_392), (0.5, 8_803), (1.0, 17_478)];
 
 fn paper_corpus() -> (Vec<ErrataDocument>, GroundTruth) {
     let corpus = SyntheticCorpus::generate(&CorpusSpec::paper());
@@ -56,6 +67,7 @@ fn run(
 
 #[test]
 fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
+    let _guard = GLOBAL.lock().unwrap();
     let (documents, truth) = paper_corpus();
     let rules = Rules::standard();
     let (oracle_bytes, oracle_stats, _) =
@@ -89,6 +101,7 @@ fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
 
 #[test]
 fn indexed_matcher_does_ten_times_less_pattern_work() {
+    let _guard = GLOBAL.lock().unwrap();
     let (documents, truth) = paper_corpus();
     let rules = Rules::standard();
 
@@ -138,6 +151,7 @@ fn indexed_matcher_does_ten_times_less_pattern_work() {
 
 #[test]
 fn obs_counters_report_classify_effort() {
+    let _guard = GLOBAL.lock().unwrap();
     let (documents, truth) = paper_corpus();
     rememberr_obs::reset();
     rememberr_obs::enable();
@@ -154,4 +168,30 @@ fn obs_counters_report_classify_effort() {
     rememberr_obs::reset();
     assert!(counters.contains("classify.pattern_evals"), "{counters}");
     assert!(counters.contains("classify.patterns_pruned"), "{counters}");
+}
+
+#[test]
+fn indexed_pattern_evals_stay_under_the_committed_ceilings() {
+    let _guard = GLOBAL.lock().unwrap();
+    let rules = Rules::standard();
+    for (scale, ceiling) in PATTERN_EVAL_CEILINGS {
+        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(scale));
+        let mut db = Database::from_documents(&corpus.structured);
+        rememberr_obs::reset();
+        rememberr_obs::enable();
+        let _ = classify_database_with(
+            &mut db,
+            &rules,
+            HumanOracle::Simulated(&corpus.truth),
+            &FourEyesConfig::default(),
+            MatcherKind::Indexed,
+        );
+        let evals = rememberr_obs::snapshot().counters["classify.pattern_evals"];
+        rememberr_obs::disable();
+        rememberr_obs::reset();
+        assert!(
+            evals <= ceiling,
+            "scale {scale}: indexed pattern_evals {evals} exceeds the committed ceiling {ceiling}"
+        );
+    }
 }

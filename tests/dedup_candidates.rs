@@ -2,7 +2,8 @@
 //! cascade candidate generators produce byte-identical database JSON and
 //! identical `cascade_merges` on the full 28-document paper corpus, at
 //! every worker count — while the indexed path pays for at least 5× fewer
-//! full edit-distance evaluations.
+//! full edit-distance evaluations, and stays under the committed
+//! per-scale ceiling.
 //!
 //! This is the correctness contract of the sublinear dedup work: candidate
 //! pruning and similarity fast paths are throughput knobs, never semantics
@@ -14,6 +15,12 @@ use rememberr::{save, CandidateGen, Database, DedupStats, DedupStrategy};
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 use rememberr_extract::extract_corpus;
 use rememberr_model::ErrataDocument;
+
+/// Committed ceilings on the indexed generator's full edit-distance
+/// comparisons over the generated documents at corpus scales 0.25 / 0.5 /
+/// 1.0. Comparisons are a pure function of the seeded corpus, so any
+/// increase is a real regression, not noise.
+const COMPARISON_CEILINGS: [(f64, u64); 3] = [(0.25, 0), (0.5, 0), (1.0, 0)];
 
 fn paper_documents() -> Vec<ErrataDocument> {
     let corpus = SyntheticCorpus::generate(&CorpusSpec::paper());
@@ -87,4 +94,26 @@ fn obs_counters_report_dedup_effort() {
     rememberr_obs::reset();
     assert!(counters.contains("dedup.comparisons_made"), "{counters}");
     assert!(counters.contains("dedup.candidates_pruned"), "{counters}");
+}
+
+#[test]
+fn indexed_comparisons_stay_under_the_committed_ceilings() {
+    for (scale, ceiling) in COMPARISON_CEILINGS {
+        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(scale));
+        let stats = |gen| {
+            Database::from_documents_opts(&corpus.structured, DedupStrategy::default(), gen)
+                .dedup_stats()
+        };
+        let indexed = stats(CandidateGen::Indexed);
+        let exhaustive = stats(CandidateGen::Exhaustive);
+        assert_eq!(
+            indexed.cascade_merges, exhaustive.cascade_merges,
+            "scale {scale}: indexed clustering diverged from the exhaustive oracle"
+        );
+        assert!(
+            indexed.comparisons_made <= ceiling,
+            "scale {scale}: indexed comparisons_made {} exceeds the committed ceiling {ceiling}",
+            indexed.comparisons_made
+        );
+    }
 }

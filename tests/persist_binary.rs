@@ -3,30 +3,46 @@
 //! the database the JSONL oracle reproduces, re-exported JSONL after a
 //! binary roundtrip is byte-identical to JSONL written directly, the
 //! binary bytes are identical at every worker count, and corruption in
-//! any section is rejected instead of loading a wrong database.
+//! any section is rejected instead of loading a wrong database. The
+//! format must also keep paying for itself: under the committed per-scale
+//! byte ceilings, smaller than JSONL, and at least 3x faster to load at
+//! paper scale.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use proptest::prelude::*;
 use rememberr::{load, save_as, Database, PersistError, SnapshotFormat};
 use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 
+/// Committed ceilings on the binary snapshot size of the classified
+/// database at corpus scales 0.25 / 0.5 / 1.0. Snapshot bytes are a pure
+/// function of the seeded corpus and the format, so any growth is a real
+/// regression, not noise.
+const BINARY_BYTE_CEILINGS: [(f64, usize); 3] = [(0.25, 201_735), (0.5, 396_078), (1.0, 784_787)];
+
+/// The load speedup over JSONL the binary format must keep at paper scale.
+const LOAD_SPEEDUP_BAR: f64 = 3.0;
+
+/// A fully classified database at the given corpus scale.
+fn classified_db(scale: f64) -> Database {
+    let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(scale));
+    let mut db = Database::from_documents(&corpus.structured);
+    classify_database(
+        &mut db,
+        &Rules::standard(),
+        HumanOracle::Simulated(&corpus.truth),
+        &FourEyesConfig::default(),
+    );
+    db
+}
+
 /// A fully classified database at a representative scale, built once.
 fn annotated_db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.15));
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        db
-    })
+    DB.get_or_init(|| classified_db(0.15))
 }
 
 fn snapshot(db: &Database, format: SnapshotFormat) -> Vec<u8> {
@@ -159,4 +175,49 @@ fn truncated_jsonl_is_rejected() {
         Err(PersistError::Truncated { expected, found })
             if expected == db.len() && found == db.len() - 1
     ));
+}
+
+#[test]
+fn binary_snapshots_stay_under_the_committed_byte_ceilings() {
+    for (scale, ceiling) in BINARY_BYTE_CEILINGS {
+        let db = classified_db(scale);
+        let binary = snapshot(&db, SnapshotFormat::Binary).len();
+        let jsonl = snapshot(&db, SnapshotFormat::Jsonl).len();
+        assert!(
+            binary <= ceiling,
+            "scale {scale}: binary snapshot {binary} bytes exceeds the committed ceiling {ceiling}"
+        );
+        assert!(
+            binary < jsonl,
+            "scale {scale}: binary snapshot {binary} bytes is not smaller than JSONL {jsonl}"
+        );
+    }
+}
+
+#[test]
+fn binary_loads_at_least_three_times_faster_than_jsonl() {
+    let db = classified_db(1.0);
+    let jsonl = snapshot(&db, SnapshotFormat::Jsonl);
+    let binary = snapshot(&db, SnapshotFormat::Binary);
+    // Interleave the formats so a slow phase of the machine hits both, and
+    // compare medians of five loads each.
+    let mut jsonl_s = Vec::new();
+    let mut binary_s = Vec::new();
+    for _ in 0..5 {
+        for (bytes, samples) in [(&jsonl, &mut jsonl_s), (&binary, &mut binary_s)] {
+            let start = Instant::now();
+            let back = load(bytes.as_slice()).expect("snapshot loads");
+            samples.push(start.elapsed().as_secs_f64());
+            assert_eq!(back, db);
+        }
+    }
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    let speedup = median(&mut jsonl_s) / median(&mut binary_s);
+    assert!(
+        speedup >= LOAD_SPEEDUP_BAR,
+        "binary load is only {speedup:.2}x faster than JSONL (bar: {LOAD_SPEEDUP_BAR}x)"
+    );
 }

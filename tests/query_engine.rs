@@ -7,19 +7,46 @@
 //! posting lists, galloping intersection, and date-window bracketing are
 //! throughput knobs, never semantics knobs. The pinned date test nails the
 //! inclusive/exclusive bracket convention (`>= after`, `< before`) on both
-//! engines so a planner rewrite cannot silently shift a boundary.
+//! engines so a planner rewrite cannot silently shift a boundary. The
+//! figure-shaped battery pins the planner's effort: the indexed engine
+//! scans at least 10x fewer entries than the scan and stays under the
+//! committed per-scale ceiling.
 
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 use rememberr::{Database, Query, QueryEngine, QueryIndex};
 use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 use rememberr_model::{
-    Context, Date, Design, Effect, FixStatus, MsrName, Trigger, TriggerClass, Vendor,
+    Context, Date, Design, Effect, ErratumId, FixStatus, MsrName, Trigger, TriggerClass, Vendor,
     WorkaroundCategory,
 };
+
+/// The battery test reads the process-global `query.entries_scanned`
+/// counter, which every query run feeds, so all tests serialize on this
+/// lock.
+static GLOBAL: Mutex<()> = Mutex::new(());
+
+/// Committed ceilings on the indexed engine's `query.entries_scanned` over
+/// the whole [`battery`] at corpus scales 0.25 / 0.5 / 1.0. Entries
+/// scanned is a pure function of the seeded corpus and the planner, so any
+/// increase is a real regression, not noise.
+const BATTERY_SCAN_CEILINGS: [(f64, u64); 3] = [(0.25, 3_154), (0.5, 6_359), (1.0, 12_662)];
+
+/// A database built from a generated corpus and annotated by the rules
+/// plus the simulated four-eyes review.
+fn annotated_db(corpus: &SyntheticCorpus) -> Database {
+    let mut db = Database::from_documents(&corpus.structured);
+    classify_database(
+        &mut db,
+        &Rules::standard(),
+        HumanOracle::Simulated(&corpus.truth),
+        &FourEyesConfig::default(),
+    );
+    db
+}
 
 /// Annotated databases built from the same corpus at jobs=1 and jobs=8.
 fn dbs() -> &'static (Database, Database) {
@@ -29,14 +56,7 @@ fn dbs() -> &'static (Database, Database) {
         let mut built = Vec::new();
         for jobs in [1usize, 8] {
             rememberr_par::set_jobs(NonZeroUsize::new(jobs));
-            let mut db = Database::from_documents(&corpus.structured);
-            classify_database(
-                &mut db,
-                &Rules::standard(),
-                HumanOracle::Simulated(&corpus.truth),
-                &FourEyesConfig::default(),
-            );
-            built.push(db);
+            built.push(annotated_db(&corpus));
         }
         rememberr_par::set_jobs(None);
         let jobs8 = built.pop().expect("two databases");
@@ -134,6 +154,7 @@ proptest! {
     fn engines_agree_on_random_queries_at_every_worker_count(
         conds in prop::collection::vec(cond_strategy(), 0..5),
     ) {
+        let _guard = GLOBAL.lock().unwrap();
         let query = conds.iter().fold(Query::new(), apply);
         let (jobs1, jobs8) = dbs();
         let oracle = fingerprint(&query, jobs1, QueryEngine::Scan);
@@ -154,6 +175,7 @@ proptest! {
 
     #[test]
     fn prebuilt_index_matches_cached_index(conds in prop::collection::vec(cond_strategy(), 0..4)) {
+        let _guard = GLOBAL.lock().unwrap();
         // A freshly built index and the database's lazily cached one serve
         // identical results — the cache is pure memoization.
         let query = conds.iter().fold(Query::new(), apply);
@@ -175,6 +197,7 @@ proptest! {
 
 #[test]
 fn date_bounds_are_inclusive_after_exclusive_before_on_both_engines() {
+    let _guard = GLOBAL.lock().unwrap();
     let (db, _) = dbs();
     let entry = &db.entries()[db.len() / 2];
     let pivot = entry.provenance.disclosure_date;
@@ -209,5 +232,95 @@ fn date_bounds_are_inclusive_after_exclusive_before_on_both_engines() {
             .disclosed_before(pivot)
             .run_with(db, engine);
         assert!(empty.is_empty(), "{engine}: [pivot, pivot) must be empty");
+    }
+}
+
+/// The figure-shaped battery of selective facet queries: per-vendor
+/// unique-bug counts for every trigger, context, effect, MSR, and
+/// workaround category, plus date-window and composite shapes.
+fn battery() -> Vec<Query> {
+    let mut queries = Vec::new();
+    let after = Date::new(2016, 1, 1).expect("valid date");
+    let before = Date::new(2019, 1, 1).expect("valid date");
+    for &vendor in &Vendor::ALL {
+        let base = Query::new().vendor(vendor).unique_only();
+        for &trigger in Trigger::ALL {
+            queries.push(base.clone().trigger(trigger));
+        }
+        for &context in Context::ALL {
+            queries.push(base.clone().context(context));
+        }
+        for &effect in Effect::ALL {
+            queries.push(base.clone().effect(effect));
+        }
+        for name in MsrName::ALL {
+            queries.push(base.clone().msr(name));
+        }
+        for category in WorkaroundCategory::ALL {
+            queries.push(base.clone().workaround(category));
+        }
+        queries.push(base.clone().disclosed_after(after).disclosed_before(before));
+        queries.push(
+            base.clone()
+                .effect(Effect::Hang)
+                .fix(FixStatus::NoFixPlanned)
+                .disclosed_after(after),
+        );
+        queries.push(base.clone().trigger(Trigger::Reset).min_triggers(2));
+    }
+    queries
+}
+
+/// Runs the whole battery on one engine: the result ids of every query
+/// and the entries the engine scanned for all of them.
+fn run_battery(
+    db: &Database,
+    queries: &[Query],
+    engine: QueryEngine,
+) -> (Vec<Vec<ErratumId>>, u64) {
+    rememberr_obs::reset();
+    rememberr_obs::enable();
+    let ids = queries
+        .iter()
+        .map(|q| q.run_with(db, engine).iter().map(|e| e.id()).collect())
+        .collect();
+    let scanned = rememberr_obs::snapshot()
+        .counters
+        .get("query.entries_scanned")
+        .copied()
+        .unwrap_or(0);
+    rememberr_obs::disable();
+    rememberr_obs::reset();
+    (ids, scanned)
+}
+
+#[test]
+fn battery_scans_stay_under_the_committed_ceilings() {
+    let _guard = GLOBAL.lock().unwrap();
+    let queries = battery();
+    assert_eq!(
+        queries.len(),
+        190,
+        "the ceilings are pinned to this battery"
+    );
+    for (scale, ceiling) in BATTERY_SCAN_CEILINGS {
+        let db = annotated_db(&SyntheticCorpus::generate(&CorpusSpec::scaled(scale)));
+        let (indexed_ids, indexed) = run_battery(&db, &queries, QueryEngine::Indexed);
+        let (scan_ids, scan) = run_battery(&db, &queries, QueryEngine::Scan);
+        for (i, (a, b)) in indexed_ids.iter().zip(&scan_ids).enumerate() {
+            assert_eq!(
+                a, b,
+                "scale {scale}: query #{i} ({:?}) diverged from the scan oracle",
+                queries[i]
+            );
+        }
+        assert!(
+            indexed <= ceiling,
+            "scale {scale}: indexed entries_scanned {indexed} exceeds the committed ceiling {ceiling}"
+        );
+        assert!(
+            scan >= 10 * indexed,
+            "scale {scale}: expected >= 10x fewer entries scanned: scan {scan} vs indexed {indexed}"
+        );
     }
 }
