@@ -123,6 +123,10 @@ fn detectable(
 /// `triggers_per_step` bounds the stimuli applied together;
 /// `effects_watched` bounds the observation footprint (the paper's
 /// observation-space challenge: watching everything is too expensive).
+///
+/// The plan ends early, after at most `steps` steps, at the first step that
+/// would detect no new bug: the greedy state no longer changes, so every
+/// later step would repeat it.
 pub fn plan_campaign(
     db: &Database,
     steps: usize,
@@ -207,6 +211,9 @@ pub fn plan_campaign(
             if detectable(&bugs[i], &step_triggers, &contexts, &watch) {
                 newly.push(i);
             }
+        }
+        if newly.is_empty() {
+            break;
         }
         let mut msr_counts: Vec<(MsrName, usize)> = Vec::new();
         for &i in &newly {
@@ -305,6 +312,22 @@ mod tests {
         assert!(large.covered >= small.covered);
         assert!(large.coverage() > 0.2, "{}", large.coverage());
         assert_eq!(small.steps.len(), 2);
+    }
+
+    #[test]
+    fn unbounded_steps_stop_once_nothing_new_is_detected() {
+        let db = annotated_db();
+        let plan = plan_campaign(&db, usize::MAX, 3, 3);
+        assert!(plan.steps.iter().all(|s| s.newly_detected > 0));
+        // Asking for more steps than the plan used adds nothing...
+        let longer = plan_campaign(&db, plan.steps.len() + 8, 3, 3);
+        assert_eq!(longer.covered, plan.covered);
+        assert_eq!(longer.steps.len(), plan.steps.len());
+        // ...and the early stop leaves the leading steps as they were.
+        let eight = plan_campaign(&db, 8, 3, 3);
+        let progress =
+            |p: &CampaignPlan| -> Vec<usize> { p.steps.iter().map(|s| s.newly_detected).collect() };
+        assert_eq!(progress(&eight), progress(&plan)[..8]);
     }
 
     #[test]

@@ -77,10 +77,10 @@ fn bench_dedup(c: &mut Criterion) {
 }
 
 fn bench_dedup_candidates(c: &mut Criterion) {
-    // Indexed vs exhaustive cascade candidate generation, sweeping the
-    // corpus size. Both points of each pair produce identical clusters
-    // (the equivalence suite asserts it); the delta is pure candidate
-    // pruning plus similarity fast paths.
+    // Bounded vs exhaustive cascade scoring, sweeping the corpus size.
+    // Both points of each pair score the same candidate pairs and produce
+    // identical clusters (the equivalence suite asserts it); the delta is
+    // the threshold-gated similarity fast paths.
     let mut group = c.benchmark_group("dedup_candidates");
     group.sample_size(10);
     for scale in [0.25f64, 0.5, 1.0] {
@@ -90,7 +90,7 @@ fn bench_dedup_candidates(c: &mut Criterion) {
             .to_vec();
         let pct = (scale * 100.0) as u32;
         for (name, gen) in [
-            ("indexed", CandidateGen::Indexed),
+            ("bounded", CandidateGen::Bounded),
             ("exhaustive", CandidateGen::Exhaustive),
         ] {
             group.bench_function(&format!("{name}_{pct}pct"), |b| {

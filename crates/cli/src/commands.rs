@@ -43,7 +43,8 @@ pub fn cmd_generate(args: &ParsedArgs) -> CmdResult {
     };
     spec.seed = args.get_parsed("seed", spec.seed)?;
 
-    let corpus = SyntheticCorpus::generate(&spec);
+    let corpus = SyntheticCorpus::try_generate(&spec)
+        .map_err(|e| format!("cannot generate a corpus at --scale {scale}: {e}"))?;
     fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     for rendered in &corpus.rendered {
         let path = out.join(format!("{}.txt", rendered.design.reference()));
@@ -362,7 +363,8 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     rememberr_obs::reset();
     rememberr_obs::enable();
 
-    let corpus = SyntheticCorpus::generate(&spec);
+    let corpus = SyntheticCorpus::try_generate(&spec)
+        .map_err(|e| format!("cannot generate a corpus at --scale {scale}: {e}"))?;
     let (documents, defects) =
         extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str())))
             .map_err(|e| e.to_string())?;

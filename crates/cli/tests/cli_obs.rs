@@ -196,6 +196,25 @@ fn jobs_and_scale_reject_bad_values() {
             assert!(err.contains("invalid value for --scale"), "{err}");
         }
     }
+    // In range but too small to meet the corpus totals: a typed spec error
+    // (exit 1), not a docgen panic.
+    for tiny in ["0.0001", "0.001", "0.005", "0.01", "0.011", "0.012"] {
+        for argv in [
+            vec![
+                "generate",
+                "--out",
+                never.to_str().unwrap(),
+                "--scale",
+                tiny,
+            ],
+            vec!["profile", "--scale", tiny],
+        ] {
+            let out = run(&argv);
+            assert_eq!(out.status.code(), Some(1), "{argv:?}: {}", stderr(&out));
+            let err = stderr(&out);
+            assert!(err.contains("cannot generate a corpus"), "{err}");
+        }
+    }
     assert!(!never.exists(), "generate ran despite a bad --scale");
 }
 

@@ -7,8 +7,9 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use rememberr_textkit::{AnalyzedCorpus, DocText};
 
-use crate::candidates::CandidateGen;
-use crate::dedup::{assign_keys_analyzed, assign_keys_with, DedupStats, DedupStrategy};
+use crate::dedup::{
+    assign_keys_analyzed, assign_keys_with, CandidateGen, DedupStats, DedupStrategy,
+};
 use crate::entry::DbEntry;
 use crate::index::{QueryIndex, QueryIndexCell};
 
@@ -87,8 +88,8 @@ impl Database {
     }
 
     /// Like [`Database::from_documents_with`] with an explicit cascade
-    /// candidate generator. The generator never changes the resulting
-    /// database — only how much similarity-scoring work dedup performs.
+    /// scorer. The scorer never changes the resulting database — only how
+    /// much similarity-scoring work dedup performs.
     pub fn from_documents_opts(
         documents: &[ErrataDocument],
         strategy: DedupStrategy,

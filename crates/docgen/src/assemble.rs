@@ -14,7 +14,7 @@ use rememberr_model::{Date, Design, ErrataDocument, Erratum, ErratumId, Revision
 use crate::bugpool::{build_pool, BugSeed};
 use crate::rng::CorpusRng;
 use crate::sampler::{sample_profile, BugProfile};
-use crate::spec::CorpusSpec;
+use crate::spec::{CorpusSpec, SpecError};
 use crate::text::{alternative_workaround, render_bug_text, vendor_boilerplate, TITLE_STYLES};
 use crate::timeline::{raw_disclosure_dates, RevisionSchedule};
 use crate::truth::{DefectLedger, FieldDefect, GroundTruth, TrueBug, TrueOccurrence};
@@ -43,9 +43,14 @@ struct OccRec {
 }
 
 /// Assembles the full corpus for a specification.
-pub fn assemble(spec: &CorpusSpec) -> AssembledCorpus {
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] when the bug pool cannot meet the spec's
+/// occurrence totals (see [`build_pool`]).
+pub fn assemble(spec: &CorpusSpec) -> Result<AssembledCorpus, SpecError> {
     let mut rng = CorpusRng::seed_from_u64(spec.seed);
-    let pool = build_pool(spec, &mut rng);
+    let pool = build_pool(spec, &mut rng)?;
     let mut profiles: Vec<BugProfile> = pool
         .iter()
         .map(|bug| sample_profile(spec, bug, &mut rng))
@@ -235,14 +240,14 @@ pub fn assemble(spec: &CorpusSpec) -> AssembledCorpus {
 
     ledger.intra_doc_pairs = ledger_intra_doc_pairs(&bugs);
 
-    AssembledCorpus {
+    Ok(AssembledCorpus {
         documents,
         truth: GroundTruth {
             bugs,
             defects: ledger,
             amd_near_miss: near_miss_keys,
         },
-    }
+    })
 }
 
 /// Finds a style per bug such that all normalized titles are distinct.
@@ -671,12 +676,12 @@ mod tests {
     use super::*;
 
     fn small() -> AssembledCorpus {
-        assemble(&CorpusSpec::scaled(0.12))
+        assemble(&CorpusSpec::scaled(0.12)).unwrap()
     }
 
     #[test]
     fn paper_corpus_has_exact_totals() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let total: usize = corpus.documents.iter().map(|d| d.len()).sum();
         assert_eq!(total, 2_563);
         assert_eq!(corpus.truth.grand_total(), 2_563);
@@ -749,7 +754,7 @@ mod tests {
     #[test]
     fn defect_counts_match_spec() {
         let spec = CorpusSpec::paper();
-        let corpus = assemble(&spec);
+        let corpus = assemble(&spec).unwrap();
         let d = &corpus.truth.defects;
         assert_eq!(d.double_added.len(), spec.defects.double_added_errata);
         assert_eq!(d.unmentioned.len(), spec.defects.unmentioned_errata);
@@ -764,7 +769,7 @@ mod tests {
 
     #[test]
     fn double_added_numbers_appear_in_two_revisions() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         for id in &corpus.truth.defects.double_added {
             let doc = &corpus.documents[id.design.index()];
             let mentions: usize = doc
@@ -778,7 +783,7 @@ mod tests {
 
     #[test]
     fn unmentioned_numbers_absent_from_revision_logs() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         for id in &corpus.truth.defects.unmentioned {
             let doc = &corpus.documents[id.design.index()];
             assert!(doc.revisions.iter().all(|r| !r.added.contains(&id.number)));
@@ -788,7 +793,7 @@ mod tests {
 
     #[test]
     fn name_collision_is_in_core1_desktop() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let (design, number) = corpus.truth.defects.name_collisions[0];
         assert_eq!(design, Design::Intel1D);
         let doc = &corpus.documents[design.index()];
@@ -798,7 +803,7 @@ mod tests {
 
     #[test]
     fn wrong_msr_descriptions_are_inconsistent() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         assert_eq!(corpus.truth.defects.wrong_msr.len(), 3);
         for id in &corpus.truth.defects.wrong_msr {
             let doc = &corpus.documents[id.design.index()];
@@ -816,7 +821,7 @@ mod tests {
     #[test]
     fn near_duplicates_have_variant_titles() {
         let spec = CorpusSpec::paper();
-        let corpus = assemble(&spec);
+        let corpus = assemble(&spec).unwrap();
         let with_variant = corpus
             .truth
             .bugs
@@ -868,15 +873,15 @@ mod tests {
     #[test]
     fn assembly_is_deterministic() {
         let spec = CorpusSpec::scaled(0.05);
-        let a = assemble(&spec);
-        let b = assemble(&spec);
+        let a = assemble(&spec).unwrap();
+        let b = assemble(&spec).unwrap();
         assert_eq!(a.documents, b.documents);
         assert_eq!(a.truth, b.truth);
     }
 
     #[test]
     fn amd_near_miss_pair_exists() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         // Two AMD bugs in the same document with identical descriptions but
         // different workarounds.
         let amd_docs = corpus
@@ -909,7 +914,7 @@ mod title_tests {
     fn normalized_titles_are_unique_across_bugs() {
         // The Intel dedup rule "identical title => identical erratum" must
         // hold by construction on the full corpus.
-        assert_canonical_titles_unique(&assemble(&CorpusSpec::paper()));
+        assert_canonical_titles_unique(&assemble(&CorpusSpec::paper()).unwrap());
     }
 
     #[test]
@@ -921,7 +926,7 @@ mod title_tests {
                 seed,
                 ..CorpusSpec::paper()
             };
-            assert_canonical_titles_unique(&assemble(&spec));
+            assert_canonical_titles_unique(&assemble(&spec).unwrap());
         }
     }
 
@@ -973,7 +978,7 @@ mod title_tests {
 
     #[test]
     fn same_bug_same_canonical_title_everywhere() {
-        let corpus = assemble(&CorpusSpec::scaled(0.1));
+        let corpus = assemble(&CorpusSpec::scaled(0.1)).unwrap();
         for bug in &corpus.truth.bugs {
             let mut canonical: Option<String> = None;
             for occ in &bug.occurrences {

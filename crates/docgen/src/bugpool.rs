@@ -14,7 +14,7 @@ use rand::Rng;
 use rememberr_model::{Design, UniqueKey, Vendor};
 use serde::{Deserialize, Serialize};
 
-use crate::spec::CorpusSpec;
+use crate::spec::{CorpusSpec, SpecError};
 
 /// One unique bug and the documents that list it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,7 +141,13 @@ fn violates_reserved_coverage(affected: &[Design]) -> bool {
 /// The pool is exact: unique-bug counts match the spec per vendor, and the
 /// total occurrence count equals the vendor total minus the entries reserved
 /// for intra-document duplicate injection (which reuse existing bugs).
-pub fn build_pool(spec: &CorpusSpec, rng: &mut CorpusRng) -> Vec<BugSeed> {
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] when a vendor's occurrence total cannot be
+/// reached, which happens at scales too small to host the spec's fixed
+/// bugs.
+pub fn build_pool(spec: &CorpusSpec, rng: &mut CorpusRng) -> Result<Vec<BugSeed>, SpecError> {
     let mut pool = Vec::with_capacity(spec.intel_unique + spec.amd_unique);
     let mut next_key = 1u32;
     let mut key = || {
@@ -234,13 +240,13 @@ pub fn build_pool(spec: &CorpusSpec, rng: &mut CorpusRng) -> Vec<BugSeed> {
         .intel_total
         .saturating_sub(spec.defects.intra_doc_duplicate_pairs)
         .max(spec.intel_unique);
-    repair_totals(&mut pool, Vendor::Intel, intel_target, special, spec, rng);
-    repair_totals(&mut pool, Vendor::Amd, spec.amd_total, 0, spec, rng);
+    repair_totals(&mut pool, Vendor::Intel, intel_target, special, spec, rng)?;
+    repair_totals(&mut pool, Vendor::Amd, spec.amd_total, 0, spec, rng)?;
 
     // ---- Backward-latent discoveries --------------------------------------
     assign_backward_discoveries(&mut pool, spec, rng);
 
-    pool
+    Ok(pool)
 }
 
 /// Grows an Intel affected-set from an introduction document.
@@ -288,7 +294,7 @@ fn weighted_choice(items: &[Design], weights: &[f64], rng: &mut CorpusRng) -> De
 }
 
 /// Adds or removes propagations on organic bugs until the vendor's
-/// occurrence total is exact.
+/// occurrence total is exact, or reports why it cannot be.
 fn repair_totals(
     pool: &mut [BugSeed],
     vendor: Vendor,
@@ -296,14 +302,16 @@ fn repair_totals(
     protected_prefix: usize,
     _spec: &CorpusSpec,
     rng: &mut CorpusRng,
-) {
+) -> Result<(), SpecError> {
     let indices: Vec<usize> = pool
         .iter()
         .enumerate()
         .filter(|(i, b)| b.vendor == vendor && (vendor == Vendor::Amd || *i >= protected_prefix))
         .map(|(i, _)| i)
         .collect();
-    assert!(!indices.is_empty(), "no adjustable bugs for {vendor}");
+    if indices.is_empty() {
+        return Err(SpecError::NoAdjustableBugs(vendor));
+    }
 
     let current = |pool: &[BugSeed]| -> usize {
         pool.iter()
@@ -340,11 +348,15 @@ fn repair_totals(
                 stall += 1;
             }
         }
-        assert!(
-            stall < 1_000_000,
-            "repair loop stalled: total {total}, target {target}"
-        );
+        if stall >= 1_000_000 {
+            return Err(SpecError::TotalUnreachable {
+                vendor,
+                total,
+                target,
+            });
+        }
     }
+    Ok(())
 }
 
 /// Tries to extend a bug by one more document; returns success.
@@ -404,7 +416,7 @@ mod tests {
 
     fn pool(spec: &CorpusSpec) -> Vec<BugSeed> {
         let mut rng = CorpusRng::seed_from_u64(spec.seed);
-        build_pool(spec, &mut rng)
+        build_pool(spec, &mut rng).expect("spec builds a pool")
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl SyntheticCorpus {
     ///
     /// # Panics
     ///
-    /// Panics if the specification fails [`CorpusSpec::validate`]; use
+    /// Panics if the specification is not generatable; use
     /// [`SyntheticCorpus::try_generate`] to handle invalid specs gracefully.
     pub fn generate(spec: &CorpusSpec) -> Self {
         Self::try_generate(spec).expect("invalid corpus specification")
@@ -51,13 +51,14 @@ impl SyntheticCorpus {
     ///
     /// # Errors
     ///
-    /// Returns the first violated spec invariant.
+    /// Returns the first violated spec invariant, or why the bug pool
+    /// cannot meet the spec's occurrence totals (at very small scales).
     pub fn try_generate(spec: &CorpusSpec) -> Result<Self, crate::spec::SpecError> {
         let _span = rememberr_obs::span!("docgen.generate");
         spec.validate()?;
         let AssembledCorpus { documents, truth } = {
             let _span = rememberr_obs::span!("docgen.assemble");
-            assemble(spec)
+            assemble(spec)?
         };
         // Rendering is pure per document (all randomness happened during
         // assembly), so documents fan out across workers; par_map returns
@@ -100,6 +101,19 @@ mod tests {
         let mut spec = CorpusSpec::scaled(0.05);
         spec.intel_propagation = -0.5;
         assert!(SyntheticCorpus::try_generate(&spec).is_err());
+        // Valid scales too small to meet the occurrence totals.
+        for scale in [0.0001, 0.001, 0.005, 0.01, 0.011, 0.012] {
+            let err = SyntheticCorpus::try_generate(&CorpusSpec::scaled(scale))
+                .expect_err("the totals cannot be met at this scale");
+            assert!(
+                matches!(
+                    err,
+                    crate::SpecError::NoAdjustableBugs(_)
+                        | crate::SpecError::TotalUnreachable { .. }
+                ),
+                "scale {scale}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -209,7 +209,7 @@ mod tests {
     use crate::spec::CorpusSpec;
 
     fn rendered_small() -> Vec<RenderedDocument> {
-        let corpus = assemble(&CorpusSpec::scaled(0.05));
+        let corpus = assemble(&CorpusSpec::scaled(0.05)).unwrap();
         corpus
             .documents
             .iter()
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn every_erratum_id_appears() {
-        let corpus = assemble(&CorpusSpec::scaled(0.05));
+        let corpus = assemble(&CorpusSpec::scaled(0.05)).unwrap();
         for doc in &corpus.documents {
             let rendered = render_document(doc, &corpus.truth.defects);
             for e in &doc.errata {
@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn summary_table_lists_fixed_errata() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let doc = corpus
             .documents
             .iter()
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn duplicated_workaround_renders_twice() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let dup = corpus
             .truth
             .defects
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn missing_fields_render_nothing() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let missing = corpus
             .truth
             .defects

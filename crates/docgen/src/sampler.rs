@@ -352,7 +352,7 @@ mod tests {
     fn profiles() -> Vec<(BugSeed, BugProfile)> {
         let spec = CorpusSpec::paper();
         let mut rng = CorpusRng::seed_from_u64(spec.seed);
-        let pool = build_pool(&spec, &mut rng);
+        let pool = build_pool(&spec, &mut rng).unwrap();
         pool.into_iter()
             .map(|bug| {
                 let p = sample_profile(&spec, &bug, &mut rng);

@@ -173,6 +173,19 @@ pub enum SpecError {
     BadTriggerWeights,
     /// Defect counts exceed what the corpus can host.
     DefectsExceedCorpus,
+    /// The vendor has no organic bug whose occurrences could be adjusted
+    /// to reach its total (a tiny scale leaves only the fixed bugs).
+    NoAdjustableBugs(Vendor),
+    /// No organic bug of the vendor can gain or lose another occurrence,
+    /// so its occurrence total is stuck away from the target.
+    TotalUnreachable {
+        /// The vendor whose total is stuck.
+        vendor: Vendor,
+        /// The occurrence total the pool reached.
+        total: usize,
+        /// The occurrence total the spec asks for.
+        target: usize,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -195,6 +208,19 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::DefectsExceedCorpus => {
                 write!(f, "defect counts exceed the corpus population")
+            }
+            SpecError::NoAdjustableBugs(v) => {
+                write!(f, "no {v} bug can be adjusted to reach the {v} total")
+            }
+            SpecError::TotalUnreachable {
+                vendor,
+                total,
+                target,
+            } => {
+                write!(
+                    f,
+                    "{vendor} occurrence total is stuck at {total} and cannot reach {target}"
+                )
             }
         }
     }

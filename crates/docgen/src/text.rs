@@ -700,7 +700,7 @@ mod tests {
     fn first_bugs(n: usize) -> Vec<(BugSeed, BugProfile)> {
         let spec = CorpusSpec::scaled(0.1);
         let mut rng = CorpusRng::seed_from_u64(spec.seed);
-        let pool = build_pool(&spec, &mut rng);
+        let pool = build_pool(&spec, &mut rng).unwrap();
         pool.into_iter()
             .take(n)
             .map(|b| {
@@ -738,7 +738,7 @@ mod tests {
     fn complex_bugs_carry_the_preamble() {
         let spec = CorpusSpec::scaled(0.2);
         let mut rng = CorpusRng::seed_from_u64(spec.seed);
-        let pool = build_pool(&spec, &mut rng);
+        let pool = build_pool(&spec, &mut rng).unwrap();
         let mut saw_complex = false;
         for bug in &pool {
             let profile = sample_profile(&spec, bug, &mut rng);
@@ -777,7 +777,7 @@ mod tests {
     fn msr_references_render_with_addresses() {
         let spec = CorpusSpec::scaled(0.3);
         let mut rng = CorpusRng::seed_from_u64(spec.seed);
-        let pool = build_pool(&spec, &mut rng);
+        let pool = build_pool(&spec, &mut rng).unwrap();
         let mut saw_msr = false;
         for bug in &pool {
             let profile = sample_profile(&spec, bug, &mut rng);

@@ -1,24 +1,19 @@
 //! Single-pass corpus analysis: a shared tokenization arena.
 //!
 //! Every pipeline stage needs lexical features of the same errata — dedup
-//! normalizes titles into [`TitleKey`]s and [`Signature`]s, classification
-//! tokenizes the full text into a [`PreparedText`], and the highlighting
-//! assist tokenizes it yet again. [`AnalyzedCorpus`] performs that work
-//! exactly once per document: the full text is tokenized in parallel
-//! ([`rememberr_par::par_map`], input-ordered), the normalized title is
-//! derived from the already-tokenized prefix (no second tokenizer pass),
-//! and title signatures are interned sequentially in document order through
-//! one shared [`Interner`] so the ids are identical at every worker count.
+//! normalizes titles into [`TitleKey`]s, classification tokenizes the full
+//! text into a [`PreparedText`], and the highlighting assist tokenizes it
+//! yet again. [`AnalyzedCorpus`] performs that work exactly once per
+//! document: the full text is tokenized in parallel
+//! ([`rememberr_par::par_map`], input-ordered) and the normalized title is
+//! derived from the already-tokenized prefix (no second tokenizer pass).
 //!
 //! Consumers receive borrowed views ([`AnalyzedDoc`]) and never re-derive:
-//! the dedup cascade reads [`AnalyzedCorpus::title_key`] /
-//! [`AnalyzedCorpus::signature`], classification and highlighting read
-//! [`AnalyzedCorpus::text`]. The `textkit.tokenize_calls` obs counter
-//! audits the contract — a one-pass pipeline run tokenizes each document
-//! exactly once.
+//! the dedup cascade reads [`AnalyzedCorpus::title_key`], classification
+//! and highlighting read [`AnalyzedCorpus::text`]. The
+//! `textkit.tokenize_calls` obs counter audits the contract — a one-pass
+//! pipeline run tokenizes each document exactly once.
 
-use crate::index::Signature;
-use crate::intern::Interner;
 use crate::normalize::{is_stopword, stem_owned};
 use crate::pattern::PreparedText;
 use crate::similarity::TitleKey;
@@ -36,9 +31,9 @@ pub struct DocText {
     pub text: String,
     /// Byte length of the title prefix of `text`.
     pub title_len: usize,
-    /// Whether to derive title-similarity features ([`TitleKey`] +
-    /// [`Signature`]) for this document. Dedup only compares titles within
-    /// one vendor's corpus (Intel), so other documents skip the work.
+    /// Whether to derive the title-similarity [`TitleKey`] for this
+    /// document. Dedup only compares titles within one vendor's corpus
+    /// (Intel), so other documents skip the work.
     pub analyze_title: bool,
 }
 
@@ -47,21 +42,17 @@ pub struct DocText {
 struct AnalyzedDocData {
     text: PreparedText,
     title_key: Option<TitleKey>,
-    signature: Option<Signature>,
 }
 
-/// A corpus analyzed once: tokenized full texts, normalized title keys and
-/// interned title signatures for every document, plus the shared
-/// [`Interner`] the signatures were built against.
+/// A corpus analyzed once: tokenized full texts and normalized title keys
+/// for every document.
 ///
-/// Construction is two-phase: tokenization and normalization fan out across
-/// workers in input order, then interning runs sequentially over the
-/// results — so interned ids depend only on the input, never on worker
-/// scheduling. Index `i` always refers to the `i`-th input document.
+/// Tokenization and normalization fan out across workers in input order,
+/// so index `i` always refers to the `i`-th input document and the result
+/// never depends on worker scheduling.
 #[derive(Debug, Clone)]
 pub struct AnalyzedCorpus {
     docs: Vec<AnalyzedDocData>,
-    interner: Interner,
 }
 
 impl AnalyzedCorpus {
@@ -77,42 +68,19 @@ impl AnalyzedCorpus {
         F: Fn(&T) -> DocText + Sync,
     {
         let _span = rememberr_obs::span!("corpus.analyze");
-        // Phase 1 (parallel): tokenize the full text and normalize the
-        // title prefix. Output order equals input order at any job count.
-        let analyzed: Vec<(PreparedText, Option<Vec<String>>)> = {
-            let _s = rememberr_obs::span!("corpus.phase1");
-            rememberr_par::par_map(items, |item| {
-                let doc = source(item);
-                let title_len = doc.title_len.min(doc.text.len());
-                let text = PreparedText::from_string(doc.text);
-                let normalized = doc
-                    .analyze_title
-                    .then(|| normalized_title_prefix(&text, title_len));
-                (text, normalized)
-            })
-        };
-        let _s2 = rememberr_obs::span!("corpus.phase2");
-        // Phase 2 (sequential): intern signatures in document order through
-        // one shared interner, assigning ids deterministically.
-        let mut interner = Interner::new();
-        let mut docs = Vec::with_capacity(analyzed.len());
-        for (text, normalized) in analyzed {
-            let (title_key, signature) = match normalized {
-                Some(tokens) => {
-                    let key = TitleKey::from_normalized(tokens);
-                    let sig = Signature::from_title_key(&key, &mut interner);
-                    (Some(key), Some(sig))
-                }
-                None => (None, None),
-            };
-            docs.push(AnalyzedDocData {
-                text,
-                title_key,
-                signature,
-            });
-        }
+        // Tokenize the full text and normalize the title prefix. Output
+        // order equals input order at any job count.
+        let docs = rememberr_par::par_map(items, |item| {
+            let doc = source(item);
+            let title_len = doc.title_len.min(doc.text.len());
+            let text = PreparedText::from_string(doc.text);
+            let title_key = doc
+                .analyze_title
+                .then(|| TitleKey::from_normalized(normalized_title_prefix(&text, title_len)));
+            AnalyzedDocData { text, title_key }
+        });
         rememberr_obs::count("corpus.docs_analyzed", docs.len() as u64);
-        Self { docs, interner }
+        Self { docs }
     }
 
     /// Number of analyzed documents.
@@ -139,12 +107,6 @@ impl AnalyzedCorpus {
         self.docs[i].title_key.as_ref()
     }
 
-    /// The interned title signature of document `i`, if title-analyzed.
-    #[must_use]
-    pub fn signature(&self, i: usize) -> Option<&Signature> {
-        self.docs[i].signature.as_ref()
-    }
-
     /// A borrowed view of document `i`.
     #[must_use]
     pub fn doc(&self, i: usize) -> AnalyzedDoc<'_> {
@@ -152,8 +114,8 @@ impl AnalyzedCorpus {
     }
 
     /// Releases the token buffers of every document *not* in `keep`,
-    /// swapping in [`PreparedText::empty`]. Title keys, signatures and the
-    /// interner are untouched — only the full-text tokenization goes.
+    /// swapping in [`PreparedText::empty`]. Title keys are untouched —
+    /// only the full-text tokenization goes.
     ///
     /// Once deduplication has picked its representatives, they are the
     /// only documents the downstream match-heavy stages (classification,
@@ -174,12 +136,6 @@ impl AnalyzedCorpus {
                 doc.text = PreparedText::empty();
             }
         }
-    }
-
-    /// The shared interner the title signatures were built against.
-    #[must_use]
-    pub fn interner(&self) -> &Interner {
-        &self.interner
     }
 }
 
@@ -202,25 +158,6 @@ impl<'a> AnalyzedDoc<'a> {
     #[must_use]
     pub fn title_key(&self) -> Option<&'a TitleKey> {
         self.corpus.title_key(self.i)
-    }
-
-    /// The interned title signature, if the document was title-analyzed.
-    #[must_use]
-    pub fn signature(&self) -> Option<&'a Signature> {
-        self.corpus.signature(self.i)
-    }
-
-    /// Sorted distinct interned title token ids, if title-analyzed.
-    #[must_use]
-    pub fn token_ids(&self) -> Option<&'a [u32]> {
-        self.signature().map(Signature::token_ids)
-    }
-
-    /// The title's sorted bigram multiset over interned ids, if
-    /// title-analyzed.
-    #[must_use]
-    pub fn bigrams(&self) -> Option<&'a [(u32, u32)]> {
-        self.signature().map(Signature::bigrams)
     }
 }
 
@@ -281,13 +218,6 @@ mod tests {
             assert_eq!(corpus.title_key(i), Some(&expect));
             assert_eq!(corpus.doc(i).title_key(), Some(&expect));
         }
-        // Signatures intern in document order: fresh per-stage interning of
-        // the same key sequence produces identical signatures.
-        let mut fresh = Interner::new();
-        for (i, d) in docs.iter().enumerate() {
-            let expect = Signature::from_title_key(&TitleKey::new(d.title), &mut fresh);
-            assert_eq!(corpus.signature(i), Some(&expect));
-        }
     }
 
     #[test]
@@ -321,16 +251,9 @@ mod tests {
         ];
         let corpus = analyze(&docs);
         assert!(corpus.title_key(0).is_none());
-        assert!(corpus.signature(0).is_none());
-        assert!(corpus.doc(0).token_ids().is_none());
-        assert!(corpus.doc(0).bigrams().is_none());
+        assert!(corpus.doc(0).title_key().is_none());
         assert!(corpus.title_key(1).is_some());
-        assert!(corpus.doc(1).token_ids().is_some());
-        // Ids are assigned over title-analyzed docs only, in order.
-        assert_eq!(
-            corpus.interner().len(),
-            corpus.signature(1).unwrap().token_ids().len()
-        );
+        assert!(corpus.doc(1).title_key().is_some());
     }
 
     #[test]

@@ -8,21 +8,20 @@
 //!   erratum prose, aware of numbers, hex constants and register names;
 //! * [`normalize`] / [`normalized_key`] — stopword removal and light
 //!   stemming for duplicate detection;
-//! * [`levenshtein`], [`jaccard`], [`cosine`], [`title_similarity`] — the
-//!   similarity metrics behind the Intel duplicate-detection cascade;
-//! * [`Interner`] / [`Signature`] / [`candidate_pairs`] — interned
-//!   per-title similarity signatures and the threshold-derived inverted
-//!   token index that generates dedup candidate pairs without enumerating
-//!   all pairs;
+//! * [`levenshtein`], [`jaccard`], [`title_similarity`] — the similarity
+//!   metrics behind the Intel duplicate-detection cascade, and
+//!   [`TitleKey`], a title normalized once and scored against many with
+//!   threshold-gated fast paths ([`TitleKey::similarity_at_least`]);
 //! * [`Pattern`] / [`PatternSet`] — a token-phrase pattern engine replacing
 //!   the paper's regex rules;
 //! * [`RuleMatcher`] — an indexed multi-pattern engine that matches a whole
 //!   pattern library against a [`PreparedText`] in one pass, pruning
-//!   patterns whose anchor token is absent;
+//!   patterns whose anchor token is absent (its token ids come from an
+//!   [`Interner`]);
 //! * [`AnalyzedCorpus`] / [`AnalyzedDoc`] — the single-pass analysis arena:
 //!   tokenizes, normalizes and stems each document's title/text exactly
-//!   once (in parallel, with deterministic interned ids) and hands out the
-//!   views every downstream stage consumes;
+//!   once (in parallel, in input order) and hands out the views every
+//!   downstream stage consumes;
 //! * [`highlights`] — the syntax-highlighting assist used during manual
 //!   classification;
 //! * [`wrap`] / [`reflow`] — document line rendering and its inverse.
@@ -52,10 +51,8 @@
 
 mod corpus;
 mod highlight;
-mod index;
 mod intern;
 mod matcher;
-mod ngram;
 mod normalize;
 mod pattern;
 mod similarity;
@@ -67,15 +64,12 @@ pub use highlight::{
     highlights, highlights_prepared, highlights_prepared_filtered, render_ansi, render_markup,
     Highlight,
 };
-pub use index::{candidate_pairs, Candidates, Signature};
 pub use intern::Interner;
 pub use matcher::{MatchSet, RuleMatcher};
-pub use ngram::{char_ngrams, shingle_similarity, token_ngrams};
 pub use normalize::{is_stopword, normalize, normalized_key, stem, stem_owned};
 pub use pattern::{Pattern, PatternError, PatternSet, PreparedText, Span};
 pub use similarity::{
-    cosine, jaccard, levenshtein, levenshtein_similarity, title_similarity, ThresholdCheck,
-    TitleKey,
+    jaccard, levenshtein, levenshtein_similarity, title_similarity, ThresholdCheck, TitleKey,
 };
 pub use tokenize::{tokenize, word_tokens, Token, TokenKind};
 pub use wrap::{reflow, reflow_counted, wrap, ReflowStats};

@@ -3,10 +3,10 @@
 //! The Intel duplicate detector ranks candidate pairs by title similarity
 //! (Section IV-A: "title similarity is a strong indicator of potential
 //! duplicates"). We provide Levenshtein distance (banded, early-exit),
-//! Jaccard similarity over token sets, cosine similarity over term
-//! frequencies, and the composite [`title_similarity`] used by the cascade.
+//! Jaccard similarity over token sets, and the composite
+//! [`title_similarity`] used by the cascade.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::normalize::normalize;
 
@@ -69,38 +69,10 @@ pub fn jaccard<T: Ord>(a: impl IntoIterator<Item = T>, b: impl IntoIterator<Item
     inter as f64 / union as f64
 }
 
-/// Cosine similarity between term-frequency vectors of two token sequences.
-///
-/// Generic over anything string-like, so callers can pass `&[String]`,
-/// `&[&str]`, or borrowed token slices without building owned copies.
-pub fn cosine<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let mut fa: BTreeMap<&str, f64> = BTreeMap::new();
-    for t in a {
-        *fa.entry(t.as_ref()).or_default() += 1.0;
-    }
-    let mut fb: BTreeMap<&str, f64> = BTreeMap::new();
-    for t in b {
-        *fb.entry(t.as_ref()).or_default() += 1.0;
-    }
-    let dot: f64 = fa
-        .iter()
-        .filter_map(|(t, va)| fb.get(t).map(|vb| va * vb))
-        .sum();
-    let na: f64 = fa.values().map(|v| v * v).sum::<f64>().sqrt();
-    let nb: f64 = fb.values().map(|v| v * v).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    dot / (na * nb)
-}
-
 /// The composite blend: `0.6 * jaccard + 0.4 * levenshtein_similarity`.
 ///
-/// Every similarity path (direct, [`TitleKey`], signatures) funnels through
-/// this one expression, so threshold short-cuts can reason about the exact
+/// Every similarity path (direct, [`TitleKey`], threshold-gated) funnels
+/// through this one expression, so threshold short-cuts can reason about the exact
 /// floating-point value the full computation would produce.
 pub(crate) fn composite(jaccard: f64, levenshtein: f64) -> f64 {
     0.6 * jaccard + 0.4 * levenshtein
@@ -282,12 +254,12 @@ impl TitleKey {
     /// The threshold is threaded into [`levenshtein`]'s cutoff band: the
     /// dynamic program runs only when constant-time distance bounds cannot
     /// settle the comparison, and then exits as soon as the distance
-    /// provably leaves the band that could still pass. The boolean is
+    /// provably leaves the band that could still pass. `passes` is
     /// bit-for-bit identical to comparing [`TitleKey::similarity`] against
-    /// `threshold`.
+    /// `threshold`; `scored` reports whether the dynamic program ran.
     #[must_use]
-    pub fn similarity_at_least(&self, other: &Self, threshold: f64) -> bool {
-        decide_threshold(self.jaccard(other), &self.joined, &other.joined, threshold).passes
+    pub fn similarity_at_least(&self, other: &Self, threshold: f64) -> ThresholdCheck {
+        decide_threshold(self.jaccard(other), &self.joined, &other.joined, threshold)
     }
 }
 
@@ -318,19 +290,6 @@ mod tests {
         assert_eq!(jaccard(["a", "b"], ["a", "b"]), 1.0);
         assert_eq!(jaccard(["a", "b"], ["c", "d"]), 0.0);
         assert!((jaccard(["a", "b", "c"], ["b", "c", "d"]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_basics() {
-        let a = vec!["x".to_string(), "y".to_string()];
-        let b = vec!["x".to_string(), "y".to_string()];
-        assert!((cosine(&a, &b) - 1.0).abs() < 1e-12);
-        let c = vec!["z".to_string()];
-        assert_eq!(cosine(&a, &c), 0.0);
-        assert_eq!(cosine::<&str>(&[], &[]), 1.0);
-        assert_eq!(cosine(&a, &[]), 0.0);
-        // Borrowed slices work without owned copies.
-        assert!((cosine(&["x", "y"], &["y", "x"]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -376,7 +335,7 @@ mod tests {
         ) {
             let (ka, kb) = (TitleKey::new(&a), TitleKey::new(&b));
             let full = ka.similarity(&kb) >= threshold;
-            let fast = ka.similarity_at_least(&kb, threshold);
+            let fast = ka.similarity_at_least(&kb, threshold).passes;
             prop_assert_eq!(fast, full, "threshold {} on {:?} vs {:?}", threshold, a, b);
         }
 
