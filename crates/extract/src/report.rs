@@ -7,7 +7,7 @@
 //! and intra-document duplicate candidates.
 
 use rememberr_model::{Design, ErrataDocument, ErratumId, MsrRef};
-use rememberr_textkit::title_similarity;
+use rememberr_textkit::TitleKey;
 use serde::{Deserialize, Serialize};
 
 use crate::errata_parse::ParsedErratum;
@@ -176,15 +176,24 @@ pub fn detect_defects(doc: &ErrataDocument, parsed: &[ParsedErratum]) -> Extract
         }
     }
 
-    // Intra-document duplicate candidates.
+    // Intra-document duplicate candidates. Each title is normalized once
+    // for the whole document; the keys drop with this call. A pair with
+    // identical bodies needs no title check, and otherwise the threshold
+    // check runs the edit-distance DP only when cheap bounds cannot decide
+    // it — bit-identical to `title_similarity(a, b) >= INTRA_DOC_SIMILARITY`.
+    let keys: Vec<TitleKey> = doc.errata.iter().map(|e| TitleKey::new(&e.title)).collect();
+    let mut dp_runs = 0u64;
     for (i, a) in doc.errata.iter().enumerate() {
-        for b in doc.errata.iter().skip(i + 1) {
+        for (j, b) in doc.errata.iter().enumerate().skip(i + 1) {
             if a.id.number == b.id.number {
                 continue; // that is a name collision, not a duplicate pair
             }
-            let near_title = title_similarity(&a.title, &b.title) >= INTRA_DOC_SIMILARITY;
-            let same_body = a.description == b.description;
-            if near_title || same_body {
+            let duplicate = a.description == b.description || {
+                let check = keys[i].similarity_at_least(&keys[j], INTRA_DOC_SIMILARITY);
+                dp_runs += u64::from(check.scored);
+                check.passes
+            };
+            if duplicate {
                 report.intra_doc_duplicates.push((
                     design,
                     a.id.number.min(b.id.number),
@@ -193,6 +202,7 @@ pub fn detect_defects(doc: &ErrataDocument, parsed: &[ParsedErratum]) -> Extract
             }
         }
     }
+    rememberr_obs::count("extract.title_dp_runs", dp_runs);
 
     report
 }

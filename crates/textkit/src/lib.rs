@@ -9,9 +9,11 @@
 //! * [`normalize`] / [`normalized_key`] — stopword removal and light
 //!   stemming for duplicate detection;
 //! * [`levenshtein`], [`jaccard`], [`title_similarity`] — the similarity
-//!   metrics behind the Intel duplicate-detection cascade, and
-//!   [`TitleKey`], a title normalized once and scored against many with
-//!   threshold-gated fast paths ([`TitleKey::similarity_at_least`]);
+//!   metrics behind the Intel duplicate-detection cascade
+//!   ([`title_similarity`] is the one-off convenience form and the tests'
+//!   oracle), and [`TitleKey`], a title normalized once and scored against
+//!   many with threshold-gated fast paths
+//!   ([`TitleKey::similarity_at_least`]) — what every comparison loop uses;
 //! * [`Pattern`] / [`PatternSet`] — a token-phrase pattern engine replacing
 //!   the paper's regex rules;
 //! * [`RuleMatcher`] — an indexed multi-pattern engine that matches a whole

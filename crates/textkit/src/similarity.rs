@@ -3,8 +3,9 @@
 //! The Intel duplicate detector ranks candidate pairs by title similarity
 //! (Section IV-A: "title similarity is a strong indicator of potential
 //! duplicates"). We provide Levenshtein distance (banded, early-exit),
-//! Jaccard similarity over token sets, and the composite
-//! [`title_similarity`] used by the cascade.
+//! Jaccard similarity over token sets, and their composite blend:
+//! [`title_similarity`] on two raw titles, or [`TitleKey`] for titles
+//! normalized once and compared many times.
 
 use std::collections::BTreeSet;
 
@@ -169,9 +170,11 @@ pub(crate) fn decide_threshold(jaccard: f64, a: &str, b: &str, threshold: f64) -
 /// the normalized keys: Jaccard captures word permutations, Levenshtein
 /// captures near-identical phrasing with small in-word edits.
 ///
-/// Normalization dominates the cost of a single comparison; callers scoring
-/// one title against many (the dedup cascade is O(n²) in the worst case)
-/// should precompute a [`TitleKey`] per title instead.
+/// This is the convenience form, and the oracle the tests check the fast
+/// paths against; no pipeline stage calls it. Normalization dominates the
+/// cost of a single comparison, so loops (the dedup cascade, the
+/// intra-document duplicate scan in extraction) build one [`TitleKey`] per
+/// title and decide thresholds with [`TitleKey::similarity_at_least`].
 pub fn title_similarity(a: &str, b: &str) -> f64 {
     TitleKey::new(a).similarity(&TitleKey::new(b))
 }

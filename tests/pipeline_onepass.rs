@@ -5,7 +5,10 @@
 //! byte-identical database JSON, identical `DedupStats`, `DecisionStats`
 //! and assist summaries, at single- and multi-worker counts — while
 //! tokenizing each database entry exactly once (the
-//! `textkit.tokenize_calls` audit counter).
+//! `textkit.tokenize_calls` audit counter). Extraction is audited the same
+//! way: one title normalization per extracted erratum, and a committed
+//! per-scale ceiling on the edit-distance DPs its intra-document duplicate
+//! scan runs.
 
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
@@ -17,8 +20,17 @@ use rememberr_classify::{
     MatcherKind, Rules,
 };
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+use rememberr_extract::extract_corpus;
 
-/// Both tests mutate process-global state (worker count, obs counters), so
+/// Committed ceilings on `extract.title_dp_runs` (same-document title pairs
+/// whose threshold check had to run the edit-distance DP) at corpus scales
+/// 0.25 / 0.5 / 1.0. It reads 0 at every scale: the length and trimmed
+/// prefix/suffix bounds settle every generated pair. The count is a pure
+/// function of the seeded corpus, so any increase is a real change in the
+/// scan, not noise.
+const TITLE_DP_CEILINGS: [(f64, u64); 3] = [(0.25, 0), (0.5, 0), (1.0, 0)];
+
+/// The tests mutate process-global state (worker count, obs counters), so
 /// they serialize on this lock.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -152,4 +164,34 @@ fn one_pass_pipeline_tokenizes_each_entry_exactly_once() {
         db.len() as u64,
         "the one-pass pipeline must tokenize each erratum exactly once"
     );
+}
+
+#[test]
+fn extraction_normalizes_each_title_once_and_stays_under_the_dp_ceilings() {
+    let _guard = GLOBAL.lock().unwrap();
+    for (scale, dp_ceiling) in TITLE_DP_CEILINGS {
+        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(scale));
+
+        rememberr_obs::reset();
+        rememberr_obs::enable();
+        let (documents, _) =
+            extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str())))
+                .expect("generated corpora extract");
+        let snapshot = rememberr_obs::snapshot();
+        rememberr_obs::disable();
+        rememberr_obs::reset();
+
+        let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
+        let errata: usize = documents.iter().map(|d| d.errata.len()).sum();
+        assert_eq!(
+            counter("textkit.tokenize_calls"),
+            errata as u64,
+            "scale {scale}: extraction must normalize each erratum title exactly once"
+        );
+        let dp_runs = counter("extract.title_dp_runs");
+        assert!(
+            dp_runs <= dp_ceiling,
+            "scale {scale}: extract.title_dp_runs {dp_runs} exceeds the committed ceiling {dp_ceiling}"
+        );
+    }
 }
